@@ -12,21 +12,32 @@
 //! [`serve_connections`] accepts connections and serves each on its own
 //! thread over one shared `Arc<Mutex<RunManager>>`:
 //!
-//! * **One lock per request.** A connection thread locks the manager,
-//!   applies one request, and releases the lock before writing the
-//!   responses — requests from concurrent feeders interleave at request
-//!   granularity, and each tenant's event stream stays byte-identical to
-//!   its solo run (tenants share the manager, never state).
+//! * **One lock per request, around `handle` only.** A connection thread
+//!   parses a request line outside the lock, locks the manager only for
+//!   [`RunManager::handle`], and releases it before serializing and
+//!   writing the responses — requests from concurrent feeders interleave
+//!   at request granularity, a tenant's megabyte `Snapshot` parse never
+//!   blocks the others, and each tenant's event stream stays
+//!   byte-identical to its solo run (tenants share the manager, never
+//!   state).
 //! * **Per-connection write serialization.** Every connection owns its
 //!   stream writer exclusively: a request's Event lines and terminal
 //!   response are written by the one thread that read the request, so
 //!   interleaved tenants can never corrupt each other's framing.
+//! * **No Nagle stall.** Both ends of a TCP connection set `TCP_NODELAY`,
+//!   and a frame leaves in one write: the server buffers a request's
+//!   Event lines and terminal response and flushes them once, the client
+//!   sends a request and its newline as one buffer. A line split across
+//!   two segments would otherwise wait on the peer's delayed ACK on every
+//!   round trip.
 //! * **Disconnect and shutdown guards.** When a connection ends — EOF,
 //!   error, or a feeder killed mid-run — that thread flushes every
 //!   tenant's sinks, so server-side trace files are complete and the
-//!   runs stay alive for a reconnect. The accept loop itself joins every
-//!   connection thread and flushes again before returning: graceful
-//!   shutdown never leaves a buffered tail behind.
+//!   runs stay alive for a reconnect. The accept loop joins finished
+//!   connection threads as it accepts new ones, so a long-lived daemon
+//!   holds handles only for live connections; on the way out it joins
+//!   every remaining thread and flushes again: graceful shutdown never
+//!   leaves a buffered tail behind.
 //!
 //! A malformed or hostile feeder is answered with
 //! [`ServiceResponse::Error`] by the manager's wire validation (see
@@ -34,10 +45,11 @@
 //! never the daemon, never another tenant.
 
 use crate::service::{RunManager, ServiceRequest, ServiceResponse};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 /// Consecutive `accept` failures tolerated before the loop gives up. A
 /// transient error (EMFILE under load, an aborted handshake) must not
@@ -89,7 +101,7 @@ impl Listener {
     fn accept(&self) -> std::io::Result<Conn> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Conn::tcp(s)),
         }
     }
 }
@@ -113,8 +125,16 @@ impl Conn {
     /// Dials a `vcountd` TCP endpoint (`HOST:PORT`).
     pub fn connect_tcp(addr: &str) -> Result<Self, String> {
         TcpStream::connect(addr)
-            .map(Conn::Tcp)
+            .and_then(Conn::tcp)
             .map_err(|e| format!("{addr}: {e}"))
+    }
+
+    /// Wraps a TCP stream with Nagle's algorithm off: every round trip
+    /// waits on its answer, so holding back a small segment only stalls
+    /// on the peer's delayed ACK.
+    fn tcp(stream: TcpStream) -> std::io::Result<Self> {
+        stream.set_nodelay(true)?;
+        Ok(Conn::Tcp(stream))
     }
 
     /// A second handle onto the same stream (reader/writer split).
@@ -172,9 +192,12 @@ impl WireClient {
     /// contract: zero or more [`ServiceResponse::Event`] lines followed by
     /// exactly one terminal (non-`Event`) response.
     pub fn call(&mut self, req: &ServiceRequest) -> Result<Vec<ServiceResponse>, String> {
-        let json = serde_json::to_string(req).map_err(|e| e.to_string())?;
-        writeln!(self.writer, "{json}").map_err(|e| format!("send: {e}"))?;
-        self.writer.flush().map_err(|e| format!("send: {e}"))?;
+        // The request and its newline leave in one write (one frame).
+        let mut line = serde_json::to_string(req).map_err(|e| e.to_string())?;
+        line.push('\n');
+        self.writer
+            .write_all(line.as_bytes())
+            .map_err(|e| format!("send: {e}"))?;
         let mut out = Vec::new();
         loop {
             let mut line = String::new();
@@ -198,8 +221,9 @@ impl WireClient {
 
 /// Answers newline-delimited requests from `reader` on `writer` until EOF,
 /// then flushes every tenant's sinks — the disconnect guard: a feeder
-/// going away mid-run leaves complete trace files behind. The manager is
-/// locked once per request, released before the responses are written, so
+/// going away mid-run leaves complete trace files behind. Each request is
+/// parsed outside the manager's lock, which is held only to handle it, and
+/// its responses leave in one write at the per-request flush, so
 /// concurrent connections interleave at request granularity.
 pub fn serve_stream(
     mgr: &Mutex<RunManager>,
@@ -214,8 +238,11 @@ pub fn serve_stream(
 fn pump_requests(
     mgr: &Mutex<RunManager>,
     reader: impl BufRead,
-    mut writer: impl Write,
+    writer: impl Write,
 ) -> Result<(), String> {
+    // One write per frame at the flush below. A response larger than the
+    // buffer passes straight through it: a Snapshot's JSON is never copied.
+    let mut writer = BufWriter::new(writer);
     let mut out = Vec::new();
     for line in reader.lines() {
         let line = line.map_err(|e| format!("read: {e}"))?;
@@ -223,9 +250,13 @@ fn pump_requests(
             continue;
         }
         out.clear();
-        mgr.lock()
-            .expect("run manager poisoned")
-            .handle_line(&line, &mut out);
+        match RunManager::parse_line(&line) {
+            Ok(req) => mgr
+                .lock()
+                .expect("run manager poisoned")
+                .handle(req, &mut out),
+            Err(malformed) => out.push(malformed),
+        }
         for resp in &out {
             let json = serde_json::to_string(resp).map_err(|e| e.to_string())?;
             writeln!(writer, "{json}").map_err(|e| format!("write: {e}"))?;
@@ -249,7 +280,18 @@ pub fn serve_connections(
     mgr: &Arc<Mutex<RunManager>>,
     max_conns: Option<u64>,
 ) -> Result<(), String> {
-    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    accept_loop(listener, mgr, max_conns).map(|_| ())
+}
+
+/// [`serve_connections`], returning the most connection-thread handles it
+/// retained at any accept, not counting the connection just accepted.
+fn accept_loop(
+    listener: &Listener,
+    mgr: &Arc<Mutex<RunManager>>,
+    max_conns: Option<u64>,
+) -> Result<usize, String> {
+    let mut handles: Vec<JoinHandle<()>> = Vec::new();
+    let mut most_retained = 0;
     let mut accepted = 0u64;
     let mut consecutive_errors = 0u32;
     let mut fatal: Option<String> = None;
@@ -273,6 +315,10 @@ pub fn serve_connections(
             }
         };
         accepted += 1;
+        // Reap before spawning: a long-lived daemon must hold handles only
+        // for live connections, not one per connection it ever served.
+        reap_finished(&mut handles);
+        most_retained = most_retained.max(handles.len());
         let mgr = Arc::clone(mgr);
         handles.push(std::thread::spawn(move || {
             let reader = match conn.try_clone() {
@@ -291,11 +337,187 @@ pub fn serve_connections(
     // tenant's sinks are flushed once more (connection threads flush on
     // their own exit too; flushing twice is harmless).
     for handle in handles {
-        let _ = handle.join();
+        join_connection(handle);
     }
     mgr.lock().expect("run manager poisoned").flush_all();
     match fatal {
         Some(e) => Err(e),
-        None => Ok(()),
+        None => Ok(most_retained),
+    }
+}
+
+/// Joins every connection thread that has already finished.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            join_connection(handles.swap_remove(i));
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// Joins one connection thread; a panic in it has already printed its
+/// message through the panic hook.
+fn join_connection(handle: JoinHandle<()>) {
+    if handle.join().is_err() {
+        eprintln!("connection thread panicked");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServiceConfig;
+    use crate::source::{ObservationBatch, ObservationSource, SimulatorSource};
+    use crate::Scenario;
+    use std::net::Shutdown;
+
+    fn manager() -> Arc<Mutex<RunManager>> {
+        Arc::new(Mutex::new(RunManager::new(ServiceConfig::default())))
+    }
+
+    #[test]
+    fn tcp_connections_disable_nagle_on_both_ends() {
+        let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
+        let dialed = Conn::connect_tcp(&listener.local_addr()).expect("connect");
+        let accepted = listener.accept().expect("accept");
+        for conn in [dialed, accepted] {
+            let Conn::Tcp(stream) = conn else {
+                panic!("a TCP endpoint produced a non-TCP connection");
+            };
+            assert!(stream.nodelay().expect("nodelay"));
+        }
+    }
+
+    /// Keeps every `write` call it receives as one chunk.
+    #[derive(Default)]
+    struct Chunks(Vec<Vec<u8>>);
+
+    impl Write for Chunks {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_request_frame_leaves_in_one_write() {
+        let scen = Scenario::fig1_walkthrough(7);
+        let mut lines = vec![serde_json::to_string(&ServiceRequest::Start {
+            run: "t".into(),
+            scenario: Box::new(scen.clone()),
+            goal: None,
+            shards: 0,
+            eager_decode: false,
+            faults: None,
+            trace: None,
+        })
+        .expect("encode")];
+        let mut source = SimulatorSource::from_scenario(&scen, 1);
+        let mut batch = ObservationBatch::default();
+        for _ in 0..300 {
+            assert!(source.next_batch(&mut batch));
+            let req = ServiceRequest::Observe {
+                run: "t".into(),
+                batch: batch.clone(),
+            };
+            lines.push(serde_json::to_string(&req).expect("encode"));
+        }
+        lines.push("not json".into());
+
+        // The frames as a manager answers them, one JSON line per response.
+        let mut reference = RunManager::new(ServiceConfig::default());
+        let mut frames = Vec::new();
+        let mut out = Vec::new();
+        for line in &lines {
+            out.clear();
+            reference.handle_line(line, &mut out);
+            let mut frame = Vec::new();
+            for resp in &out {
+                frame.extend(serde_json::to_string(resp).expect("encode").bytes());
+                frame.push(b'\n');
+            }
+            frames.push(frame);
+        }
+        assert!(
+            frames[1..]
+                .iter()
+                .any(|f| f.iter().filter(|&&b| b == b'\n').count() > 1),
+            "no Observe answered with Event lines"
+        );
+
+        let mut wire = lines.join("\n");
+        wire.push('\n');
+        let mut chunks = Chunks::default();
+        serve_stream(&manager(), wire.as_bytes(), &mut chunks).expect("serve");
+        assert_eq!(chunks.0.len(), frames.len(), "one write per request frame");
+        for (i, (chunk, frame)) in chunks.0.iter().zip(&frames).enumerate() {
+            assert_eq!(chunk.last(), Some(&b'\n'), "frame {i} ends mid-line");
+            assert!(
+                chunk == frame,
+                "frame {i} differs from the manager's answer"
+            );
+        }
+    }
+
+    #[test]
+    fn tcp_round_trips_do_not_stall() {
+        let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr();
+        let mgr = manager();
+        let server = std::thread::spawn(move || serve_connections(&listener, &mgr, Some(1)));
+        let mut client =
+            WireClient::new(Conn::connect_tcp(&addr).expect("connect")).expect("client");
+        // A Nagle plus delayed-ACK stall costs ~40 ms per held-back
+        // segment, ~17 s over these round trips; unstalled they take well
+        // under a second.
+        let started = std::time::Instant::now();
+        for _ in 0..200 {
+            let answer = client
+                .call(&ServiceRequest::Pump { budget: Some(0) })
+                .expect("pump");
+            assert!(matches!(
+                answer.as_slice(),
+                [ServiceResponse::Pumped { ingested: 0 }]
+            ));
+        }
+        let elapsed = started.elapsed();
+        drop(client);
+        server.join().expect("server thread").expect("serve");
+        assert!(
+            elapsed.as_secs_f64() < 3.0,
+            "200 round trips took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        const CONNS: u64 = 20;
+        let listener = Listener::bind_tcp("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr();
+        let mgr = manager();
+        let server = std::thread::spawn(move || accept_loop(&listener, &mgr, Some(CONNS)));
+        for _ in 0..CONNS {
+            let Conn::Tcp(mut stream) = Conn::connect_tcp(&addr).expect("connect") else {
+                unreachable!("connect_tcp dials TCP");
+            };
+            // Hang up, then wait for the server to close its end: the
+            // connection's thread has returned by then.
+            stream.shutdown(Shutdown::Write).expect("shutdown");
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).expect("read");
+            assert!(rest.is_empty());
+        }
+        let most_retained = server.join().expect("server thread").expect("serve");
+        assert!(
+            most_retained <= 1,
+            "{most_retained} finished connection threads were kept"
+        );
     }
 }

@@ -335,13 +335,20 @@ impl RunManager {
     /// Parses one wire line and handles it; malformed JSON becomes an
     /// unattributable [`ServiceResponse::Error`].
     pub fn handle_line(&mut self, line: &str, out: &mut Vec<ServiceResponse>) {
-        match serde_json::from_str::<ServiceRequest>(line) {
+        match Self::parse_line(line) {
             Ok(req) => self.handle(req, out),
-            Err(e) => out.push(ServiceResponse::Error {
-                run: String::new(),
-                message: format!("malformed request: {e}"),
-            }),
+            Err(malformed) => out.push(malformed),
         }
+    }
+
+    /// Parses one wire line without touching any tenant, so a server can
+    /// parse outside its lock; malformed JSON becomes the unattributable
+    /// [`ServiceResponse::Error`] to answer with.
+    pub(crate) fn parse_line(line: &str) -> Result<ServiceRequest, ServiceResponse> {
+        serde_json::from_str(line).map_err(|e| ServiceResponse::Error {
+            run: String::new(),
+            message: format!("malformed request: {e}"),
+        })
     }
 
     /// Applies one request, appending every resulting response (event
